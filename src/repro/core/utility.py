@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+import numpy as np
+
 from repro.core.content import ContentItem
 
 
@@ -92,9 +94,14 @@ class LearnedContentUtility:
         if not items:
             return
         matrix = [self._featurizer.features_for_item(item) for item in items]
-        probabilities = self._classifier.predict_proba(matrix)
-        for item, row in zip(items, probabilities):
-            item.content_utility = float(row[1])
+        clicked = np.asarray(self._classifier.predict_proba(matrix), dtype=float)[:, 1]
+        outside = ~((clicked >= 0.0) & (clicked <= 1.0))
+        if outside.any():
+            raise ValueError(
+                f"classifier produced probability {clicked[outside][0]} outside [0, 1]"
+            )
+        for item, probability in zip(items, clicked):
+            item.content_utility = float(probability)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,23 @@ features per split, and averages leaf probabilities across trees --
 ``predict_proba`` is the mean of tree probabilities, which is what
 :class:`repro.core.utility.LearnedContentUtility` converts into ``U_c``.
 Out-of-bag scoring is included as a cheap generalization check.
+
+After fitting, the trees' preorder node tables are concatenated into one
+table (child indices offset per tree, one root index per tree), and
+``predict_proba`` walks every tree at once over fixed blocks of rows with
+:func:`repro.ml.tree.walk_to_leaves`.  Blocking bounds the walk's
+``(trees, rows)`` temporaries to about a megabyte; one walk over every row
+of a week of notifications would hold tens of megabytes at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, walk_to_leaves
+
+#: Rows scored per level-synchronous walk over the whole forest.
+_BLOCK_ROWS = 1024
 
 
 class RandomForestClassifier:
@@ -59,6 +69,10 @@ class RandomForestClassifier:
         self._trees: list[DecisionTreeClassifier] = []
         self._oob_indices: list[np.ndarray] = []
         self._n_features = 0
+        # The fitted forest as one node table (see the module docstring).
+        self._feature = self._threshold = self._left = self._right = None
+        self._probability = self._samples = self._roots = None
+        self._depth = 0
 
     def fit(self, x, y) -> "RandomForestClassifier":
         x = np.asarray(x, dtype=float)
@@ -70,7 +84,7 @@ class RandomForestClassifier:
         self._n_features = x.shape[1]
         n = len(x)
         rng = np.random.default_rng(self.random_state)
-        self._trees = []
+        trees: list[DecisionTreeClassifier] = []
         self._oob_indices = []
         for tree_index in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
@@ -88,8 +102,22 @@ class RandomForestClassifier:
                 random_state=seed,
             )
             tree.fit(x[sample], y[sample])
-            self._trees.append(tree)
+            trees.append(tree)
             self._oob_indices.append(oob)
+        sizes = [tree.node_count() for tree in trees]
+        self._roots = np.cumsum([0] + sizes[:-1]).astype(np.intp)
+        self._feature = np.concatenate([tree.feature for tree in trees])
+        self._threshold = np.concatenate([tree.threshold for tree in trees])
+        self._left = np.concatenate(
+            [tree.left + root for tree, root in zip(trees, self._roots)]
+        )
+        self._right = np.concatenate(
+            [tree.right + root for tree, root in zip(trees, self._roots)]
+        )
+        self._probability = np.concatenate([tree.probability for tree in trees])
+        self._samples = np.concatenate([tree.samples for tree in trees])
+        self._depth = max(tree.depth() for tree in trees)
+        self._trees = trees
         self._train_x = x
         self._train_y = y
         return self
@@ -98,14 +126,32 @@ class RandomForestClassifier:
         if not self._trees:
             raise RuntimeError("forest is not fitted; call fit() first")
 
+    def _leaf_probabilities(self, x: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """P(class == 1) of each row under each root, shape ``(len(roots), n)``."""
+        leaves = walk_to_leaves(
+            x, self._feature, self._threshold, self._left, self._right,
+            roots, self._depth,
+        )
+        return self._probability[leaves]
+
     def predict_proba(self, x) -> np.ndarray:
         """Mean of per-tree class probabilities, shape ``(n, 2)``."""
         self._check_fitted()
-        x = np.asarray(x, dtype=float)
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self._n_features:
+            raise ValueError(
+                f"expected matrix with {self._n_features} features, got {x.shape}"
+            )
         total = np.zeros((len(x), 2))
-        for tree in self._trees:
-            total += tree.predict_proba(x)
-        return total / len(self._trees)
+        for start in range(0, len(x), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            p1 = self._leaf_probabilities(x[rows], self._roots)
+            # A running sum down the tree axis adds tree by tree in fit
+            # order: the same floats as accumulating each tree's
+            # [1 - p1, p1] into a zeroed total.
+            total[rows, 1] = np.cumsum(p1, axis=0)[-1]
+            total[rows, 0] = np.cumsum(1.0 - p1, axis=0)[-1]
+        return total / len(self._roots)
 
     def predict(self, x) -> np.ndarray:
         """Majority-probability class at the 0.5 threshold."""
@@ -123,10 +169,11 @@ class RandomForestClassifier:
         n = len(self._train_x)
         votes = np.zeros(n)
         counts = np.zeros(n)
-        for tree, oob in zip(self._trees, self._oob_indices):
+        for tree_index, oob in enumerate(self._oob_indices):
             if oob.size == 0:
                 continue
-            votes[oob] += tree.predict_proba(self._train_x[oob])[:, 1]
+            roots = self._roots[tree_index : tree_index + 1]
+            votes[oob] += self._leaf_probabilities(self._train_x[oob], roots)[0]
             counts[oob] += 1
         seen = counts > 0
         if not seen.any():
@@ -143,15 +190,7 @@ class RandomForestClassifier:
         """
         self._check_fitted()
         importances = np.zeros(self._n_features)
-
-        def walk(node) -> None:
-            if node.is_leaf:
-                return
-            importances[node.feature] += node.samples
-            walk(node.left)
-            walk(node.right)
-
-        for tree in self._trees:
-            walk(tree._check_fitted())
+        internal = self._left != np.arange(len(self._left))
+        np.add.at(importances, self._feature[internal], self._samples[internal])
         total = importances.sum()
         return importances / total if total > 0 else importances

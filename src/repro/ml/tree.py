@@ -10,29 +10,47 @@ The implementation vectorizes split search with numpy: for each candidate
 feature the samples are sorted once and all thresholds are evaluated with
 prefix sums, giving ``O(f * n log n)`` per node for ``f`` candidate
 features.
+
+A fitted tree is a flat preorder node table: parallel arrays ``feature``,
+``threshold``, ``left``, ``right``, ``probability`` and ``samples``,
+root at index 0.  A leaf's ``left`` and ``right`` point at itself (and its
+``feature`` is 0, so reading it stays in bounds), which lets
+:func:`walk_to_leaves` move every row down one level per step with no
+branch for leaves: after ``depth()`` steps each row sits on its leaf.  The
+forest concatenates its trees into one such table and walks them all at
+once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves carry class-1 probability."""
+def walk_to_leaves(
+    x: np.ndarray,
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    depth: int,
+) -> np.ndarray:
+    """Leaf index of every row under every root, shape ``(len(roots), n)``.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    probability: float = 0.0  # P(class == 1) at this node
-    samples: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    ``x`` is a C-contiguous ``(n, f)`` float matrix whose width the caller
+    has checked.  Each level is one flat gather of the split feature, one
+    ``<=`` against the threshold (NaN goes right, as ``row[f] <= t``
+    does) and one select between the children; leaves point at
+    themselves, so ``depth`` levels settle every row.
+    """
+    n, width = x.shape
+    flat = x.ravel()
+    row_base = np.arange(n) * width
+    node = np.repeat(roots[:, None], n, axis=1)
+    for _ in range(depth):
+        go_left = flat[row_base + feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return node
 
 
 def _gini(positive: float, total: float) -> float:
@@ -137,8 +155,14 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._root: _Node | None = None
         self._n_features = 0
+        # The fitted preorder node table (None until fit()).
+        self.feature: np.ndarray | None = None
+        self.threshold: np.ndarray | None = None
+        self.left: np.ndarray | None = None
+        self.right: np.ndarray | None = None
+        self.probability: np.ndarray | None = None  # P(class == 1) per node
+        self.samples: np.ndarray | None = None
 
     # -- fitting --------------------------------------------------------------
 
@@ -155,7 +179,15 @@ class DecisionTreeClassifier:
             raise ValueError("cannot fit on an empty dataset")
         self._n_features = x.shape[1]
         rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(x, y, depth=0, rng=rng)
+        rows: list[list] = []
+        self._grow(x, y, depth=0, rng=rng, rows=rows)
+        feature, threshold, left, right, probability, samples = zip(*rows)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.probability = np.array(probability, dtype=float)
+        self.samples = np.array(samples, dtype=np.intp)
         return self
 
     def _candidate_features(self, rng: np.random.Generator) -> np.ndarray:
@@ -172,50 +204,61 @@ class DecisionTreeClassifier:
         return rng.choice(self._n_features, size=k, replace=False)
 
     def _grow(
-        self, x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
-    ) -> _Node:
-        node = _Node(probability=float(y.mean()), samples=len(y))
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        depth: int,
+        rng: np.random.Generator,
+        rows: list[list],
+    ) -> int:
+        """Append the subtree on ``(x, y)`` to ``rows`` in preorder.
+
+        Each row is ``[feature, threshold, left, right, probability,
+        samples]``; a node starts as a self-pointing leaf and becomes a
+        split once its children exist.  Returns the subtree's root index.
+        """
+        index = len(rows)
+        probability = float(y.mean())
+        row = [0, 0.0, index, index, probability, len(y)]
+        rows.append(row)
         if (
             (self.max_depth is not None and depth >= self.max_depth)
             or len(y) < self.min_samples_split
-            or node.probability in (0.0, 1.0)
+            or probability in (0.0, 1.0)
         ):
-            return node
+            return index
         split = _best_split(
             x, y, self._candidate_features(rng), self.min_samples_leaf
         )
         if split is None:
-            return node
+            return index
         feature, threshold, _ = split
         mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
-        return node
+        row[0] = feature
+        row[1] = threshold
+        row[2] = self._grow(x[mask], y[mask], depth + 1, rng, rows)
+        row[3] = self._grow(x[~mask], y[~mask], depth + 1, rng, rows)
+        return index
 
     # -- prediction -----------------------------------------------------------
 
-    def _check_fitted(self) -> _Node:
-        if self._root is None:
+    def _check_fitted(self) -> None:
+        if self.feature is None:
             raise RuntimeError("tree is not fitted; call fit() first")
-        return self._root
 
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities, shape ``(n, 2)``; column 1 = P(clicked)."""
-        root = self._check_fitted()
-        x = np.asarray(x, dtype=float)
+        self._check_fitted()
+        x = np.ascontiguousarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self._n_features:
             raise ValueError(
                 f"expected matrix with {self._n_features} features, got {x.shape}"
             )
-        p1 = np.empty(len(x))
-        for row_index in range(len(x)):
-            node = root
-            row = x[row_index]
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            p1[row_index] = node.probability
+        leaves = walk_to_leaves(
+            x, self.feature, self.threshold, self.left, self.right,
+            np.zeros(1, dtype=np.intp), self.depth(),
+        )
+        p1 = self.probability[leaves[0]]
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, x) -> np.ndarray:
@@ -223,19 +266,17 @@ class DecisionTreeClassifier:
         return (self.predict_proba(x)[:, 1] >= 0.5).astype(int)
 
     def depth(self) -> int:
-        """Realized depth of the fitted tree."""
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._check_fitted())
+        """Realized depth of the fitted tree (levels below the root)."""
+        self._check_fitted()
+        frontier = np.zeros(1, dtype=np.intp)
+        depth = 0
+        while True:
+            frontier = frontier[self.left[frontier] != frontier]
+            if frontier.size == 0:
+                return depth
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            depth += 1
 
     def node_count(self) -> int:
-        def count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return 1 + count(node.left) + count(node.right)
-
-        return count(self._check_fitted())
+        self._check_fitted()
+        return len(self.feature)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.forest import RandomForestClassifier
+from repro.ml.forest import _BLOCK_ROWS, RandomForestClassifier
 
 
 def noisy_data(n=400, seed=1):
@@ -27,6 +27,19 @@ class TestValidation:
     def test_misaligned_inputs(self):
         with pytest.raises(ValueError):
             RandomForestClassifier().fit([[1.0], [2.0]], [0])
+
+    def test_predict_rejects_wrong_shape(self):
+        x, y = noisy_data(n=100)
+        forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(x, y)
+        for bad in (x[:, :4], np.hstack([x, x[:, :1]]), x[0], x[None]):
+            with pytest.raises(ValueError):
+                forest.predict_proba(bad)
+
+    def test_predict_zero_rows(self):
+        x, y = noisy_data(n=100)
+        forest = RandomForestClassifier(n_estimators=3, random_state=0).fit(x, y)
+        proba = forest.predict_proba(np.empty((0, 5)))
+        assert proba.shape == (0, 2)
 
 
 class TestLearning:
@@ -115,3 +128,67 @@ class TestFeatureImportances:
         assert importances[0] == max(importances)
         assert importances[0] > importances[2]
         assert importances[0] > importances[3]
+
+
+def reference_proba(forest, x):
+    """Scalar walk of each tree's node table, summed as the forest sums."""
+    total = np.zeros((len(x), 2))
+    for tree in forest._trees:
+        for i, row in enumerate(x):
+            node = 0
+            while tree.left[node] != node:
+                go_left = row[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            p1 = tree.probability[node]
+            total[i] += (1.0 - p1, p1)
+    return total / len(forest._trees)
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestLevelWalk:
+    """The blocked whole-forest walk against a scalar per-row walk."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unbounded_depth_trees_of_unequal_depth(self, seed):
+        x, y = noisy_data(n=300, seed=seed)
+        forest = RandomForestClassifier(n_estimators=6, random_state=seed).fit(x, y)
+        assert len({tree.depth() for tree in forest._trees}) > 1
+        queries = np.random.default_rng(seed).uniform(0, 1, size=(500, 5))
+        assert_bit_identical(forest.predict_proba(queries), reference_proba(forest, queries))
+
+    def test_single_tree_and_single_row(self):
+        x, y = noisy_data(n=200, seed=4)
+        forest = RandomForestClassifier(n_estimators=1, max_depth=5, random_state=4).fit(x, y)
+        queries = np.random.default_rng(4).uniform(0, 1, size=(200, 5))
+        assert_bit_identical(forest.predict_proba(queries), reference_proba(forest, queries))
+        row = queries[:1]
+        assert_bit_identical(forest.predict_proba(row), reference_proba(forest, row))
+
+    def test_rows_on_a_threshold_go_left_and_nan_goes_right(self):
+        x, y = noisy_data(n=300, seed=5)
+        forest = RandomForestClassifier(n_estimators=1, max_depth=1, random_state=5).fit(x, y)
+        (tree,) = forest._trees
+        assert tree.node_count() == 3
+        row = np.full((1, 5), 0.5)
+        row[0, tree.feature[0]] = tree.threshold[0]
+        assert forest.predict_proba(row)[0, 1] == tree.probability[tree.left[0]]
+        row[0, tree.feature[0]] = np.nan
+        assert forest.predict_proba(row)[0, 1] == tree.probability[tree.right[0]]
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_thresholds_nans_and_several_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = noisy_data(n=250, seed=seed)
+        forest = RandomForestClassifier(n_estimators=4, max_depth=6, random_state=seed).fit(x, y)
+        queries = rng.uniform(0, 1, size=(2 * _BLOCK_ROWS + 17, 5))
+        # Put cells exactly on split thresholds of the forest's own trees.
+        for tree in forest._trees:
+            internal = np.flatnonzero(tree.left != np.arange(tree.node_count()))
+            rows = rng.integers(0, len(queries), size=(len(internal), 40))
+            queries[rows, tree.feature[internal][:, None]] = tree.threshold[internal][:, None]
+        queries[rng.uniform(size=queries.shape) < 0.05] = np.nan
+        assert_bit_identical(forest.predict_proba(queries), reference_proba(forest, queries))

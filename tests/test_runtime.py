@@ -373,6 +373,13 @@ GOLDEN_DELIVERY_DIGESTS = {
     ),
 }
 
+# sha256 over UtilityAnnotations.train(...) scores on the golden workload,
+# in record order, as float64 bytes: pins the forest's U_c bit for bit.
+GOLDEN_SCORES_DIGEST = (
+    1389,
+    "5d900e4448a1764ad87d2be57be4d723ed1e5b0215f54f6c217d07e478d6b9e2",
+)
+
 
 @pytest.fixture(scope="module")
 def golden_world():
@@ -395,6 +402,15 @@ def golden_world():
 
 class TestGoldenParity:
     """Seeded runs through the registry match the pre-refactor monolith."""
+
+    def test_learned_scores_match_pinned_digest(self, golden_world):
+        workload, _, annotations, _, _ = golden_world
+        scores = np.array(
+            [annotations.scores[r.notification_id] for r in workload.records],
+            dtype=np.float64,
+        )
+        digest = hashlib.sha256(scores.tobytes()).hexdigest()
+        assert (len(scores), digest) == GOLDEN_SCORES_DIGEST
 
     def test_aggregates_match_pre_refactor_capture(self, golden_world):
         from repro.experiments.runner import run_experiment

@@ -74,13 +74,9 @@ class TestLearning:
     def test_min_samples_leaf_respected(self):
         x, y = separable_data(n=100)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(x, y)
-
-        def leaf_sizes(node):
-            if node.is_leaf:
-                return [node.samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert min(leaf_sizes(tree._check_fitted())) >= 20
+        leaves = tree.left == np.arange(tree.node_count())
+        assert leaves.sum() > 1
+        assert tree.samples[leaves].min() >= 20
 
     def test_probabilities_sum_to_one(self):
         x, y = separable_data()

@@ -80,6 +80,27 @@ class TestLearnedContentUtility:
         model.annotate(items)
         assert all(item.content_utility == pytest.approx(0.3) for item in items)
 
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    def test_annotate_rejects_out_of_range_probability(self, p):
+        model = LearnedContentUtility(_StubClassifier(p), _StubFeaturizer())
+        items = [make_item(), make_item()]
+        with pytest.raises(ValueError):
+            model.annotate(items)
+        assert [item.content_utility for item in items] == [0.5, 0.5]
+
+    def test_annotate_checks_every_row_before_writing(self):
+        class _LastRowBad(_StubClassifier):
+            def predict_proba(self, x):
+                rows = super().predict_proba(x)
+                rows[-1] = [-1.0, 2.0]
+                return rows
+
+        model = LearnedContentUtility(_LastRowBad(0.3), _StubFeaturizer())
+        items = [make_item(), make_item(), make_item()]
+        with pytest.raises(ValueError):
+            model.annotate(items)
+        assert [item.content_utility for item in items] == [0.5, 0.5, 0.5]
+
     def test_annotate_empty_is_noop(self):
         model = LearnedContentUtility(_StubClassifier(0.3), _StubFeaturizer())
         model.annotate([])  # must not raise
