@@ -7,7 +7,7 @@ RL205).  :class:`MonotonicClock` wraps ``time.monotonic`` for live runs.
 
 Tests and chaos scenarios need the opposite of real time: a clock the
 test *drives*.  :class:`SimulatedClock` keeps a heap of sleepers and
-advances only when told to, so a 10-minute flash crowd replays in
+advances only at loop quiescence, so a 10-minute flash crowd replays in
 milliseconds and every interleaving is reproducible.  Timeout races
 (:mod:`repro.service.sinks`) are built on ``Clock.sleep`` rather than
 ``asyncio.wait_for`` precisely so they stay on virtual time.
@@ -19,6 +19,7 @@ import asyncio
 import heapq
 import itertools
 import time
+from collections import deque
 from typing import Awaitable, Protocol
 
 
@@ -48,10 +49,10 @@ class SimulatedClock:
     """Deterministic virtual time for service tests and chaos replays.
 
     ``sleep`` parks the caller on a heap keyed by wake time (with an
-    insertion sequence for FIFO tie-breaks -- no hash-order in wakeups);
-    :meth:`advance` and :meth:`drive` pop sleepers and resolve them in
-    deterministic order while repeatedly yielding to the event loop so
-    woken coroutines run to their next await.
+    insertion sequence for FIFO tie-breaks -- no hash-order in wakeups).
+    :meth:`advance` and :meth:`drive` wake the earliest live sleeper only
+    once the loop has no ready callback left, so time never moves while
+    an await chain (timer fires -> race settles) is still running.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -79,73 +80,66 @@ class SimulatedClock:
         )
         await future
 
-    async def advance(self, seconds: float) -> None:
-        """Move virtual time forward, waking every sleeper that comes due.
+    def _wake_next(self, until: float = float("inf")) -> bool:
+        """Wake the earliest live sleeper due by ``until``; False if none."""
+        while self._sleepers and self._sleepers[0][2].done():
+            heapq.heappop(self._sleepers)  # a cancelled timeout race
+        if not self._sleepers or self._sleepers[0][0] > until + 1e-12:
+            return False
+        wake, _, future = heapq.heappop(self._sleepers)
+        self._now = max(self._now, wake)
+        future.set_result(None)
+        return True
 
-        Yields to the event loop between wakeups so chains of awaits
-        (timer fires -> round runs -> sink races) settle in order; after
-        the last due sleeper it keeps yielding until the loop quiesces,
-        then pins ``now`` to the target.
-        """
+    async def advance(self, seconds: float) -> None:
+        """Move virtual time forward, waking every sleeper that comes due,
+        then pin ``now`` to the target once the loop is quiescent."""
         if seconds < 0:
             raise ValueError(f"cannot advance time backwards ({seconds})")
         target = self._now + seconds
-        idle = 0
-        while True:
-            await asyncio.sleep(0)
-            if self._sleepers and self._sleepers[0][0] <= target + 1e-12:
-                wake, _, future = heapq.heappop(self._sleepers)
-                if not future.done():  # skip cancelled timeout races
-                    self._now = max(self._now, wake)
-                    future.set_result(None)
-                idle = 0
-                continue
-            idle += 1
-            if idle >= 50:
-                break
+        await _quiesce()
+        while self._wake_next(target):
+            await _quiesce()
         self._now = target
 
-    #: Consecutive event-loop yields granted between sleeper wakeups so
-    #: await chains (timer fires -> race settles -> cancellation lands)
-    #: run to quiescence before virtual time moves again.  Popping after
-    #: a single yield would let time jump *ahead of causality*: a 120s
-    #: sleeper could resolve before a 5s timeout race finished settling.
-    _settle_yields = 10
-
-    async def drive(self, awaitable: Awaitable, max_idle_yields: int = 100_000):
+    async def drive(self, awaitable: Awaitable):
         """Run ``awaitable`` to completion, advancing time as far as needed.
 
         The canonical way to run a bounded service session on virtual
-        time: wraps the awaitable in a task, then alternates between
-        letting the event loop settle and firing the earliest sleeper,
-        until the task finishes.  Raises if the task is still pending
-        with no sleepers left after ``max_idle_yields`` consecutive idle
-        yields (a genuine deadlock, not a timing artifact).
+        time.  A task still pending at quiescence with no live sleeper can
+        never finish: that deadlock raises at once.
         """
         task = asyncio.ensure_future(awaitable)
-        idle = 0
-        settle = 0
-        while not task.done():
-            await asyncio.sleep(0)
-            if task.done():
-                break
-            if self._sleepers:
-                idle = 0
-                if settle < self._settle_yields:
-                    settle += 1
-                    continue
-                settle = 0
-                wake, _, future = heapq.heappop(self._sleepers)
-                if not future.done():  # skip cancelled timeout races
-                    self._now = max(self._now, wake)
-                    future.set_result(None)
-            else:
-                settle = 0
-                idle += 1
-                if idle > max_idle_yields:
-                    task.cancel()
-                    raise RuntimeError(
-                        "simulated clock stalled: task pending with no "
-                        "sleepers to wake"
-                    )
-        return task.result()
+        try:
+            while True:
+                await _quiesce()
+                if task.done():
+                    return task.result()
+                if not self._wake_next():
+                    detail = "task pending with no sleepers to wake"
+                    if getattr(asyncio.get_running_loop(), "_scheduled", None):
+                        detail += (
+                            "; a real-time loop timer was found under "
+                            "virtual time"
+                        )
+                    raise RuntimeError(f"simulated clock stalled: {detail}")
+        finally:
+            task.cancel()
+
+
+async def _quiesce() -> None:
+    """Yield until the running loop has no ready callback left.
+
+    Reads private stdlib ``BaseEventLoop`` state (``loop._ready``); a loop
+    without it (uvloop, say) cannot host virtual time.
+    """
+    loop = asyncio.get_running_loop()
+    ready = getattr(loop, "_ready", None)
+    if not isinstance(ready, deque):
+        raise TypeError(
+            "SimulatedClock needs a stdlib asyncio loop with a ready "
+            f"queue, got {type(loop).__qualname__}"
+        )
+    await asyncio.sleep(0)
+    while ready:
+        await asyncio.sleep(0)

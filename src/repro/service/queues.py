@@ -128,6 +128,7 @@ class IngestFrontier:
             raise ValueError(f"queue bound must be >= 1, got {queue_bound}")
         self.queue_bound = queue_bound
         self._queues: dict[int, BoundedUserQueue] = {}
+        self._depth = 0  # aggregate depth, kept by offer() and drain()
         self._window_peak = 0
 
     def register(self, user_id: int) -> BoundedUserQueue:
@@ -147,19 +148,22 @@ class IngestFrontier:
         queue = self.register(event.item.user_id)
         admitted = queue.push(event)
         if admitted:
-            self._window_peak = max(self._window_peak, self.total_depth())
+            self._depth += 1
+            self._window_peak = max(self._window_peak, self._depth)
         return admitted
 
     def drain(self, user_id: int) -> list[QueuedEvent]:
         queue = self._queues.get(user_id)
-        return queue.drain() if queue is not None else []
+        drained = queue.drain() if queue is not None else []
+        self._depth -= len(drained)
+        return drained
 
     def depth(self, user_id: int) -> int:
         queue = self._queues.get(user_id)
         return len(queue) if queue is not None else 0
 
     def total_depth(self) -> int:
-        return sum(len(queue) for queue in self._queues.values())
+        return self._depth
 
     def high_water(self) -> int:
         """Largest single-queue depth ever observed across all users."""
@@ -174,8 +178,8 @@ class IngestFrontier:
         it sees the burst even though the queues were drained before the
         reading.
         """
-        peak = max(self._window_peak, self.total_depth())
-        self._window_peak = self.total_depth()
+        peak = max(self._window_peak, self._depth)
+        self._window_peak = self._depth
         return peak
 
     def occupancy_of(self, depth: int) -> float:

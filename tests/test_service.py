@@ -10,6 +10,8 @@ ladder up *and* back down.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import random
 
 import pytest
@@ -151,7 +153,103 @@ class TestSimulatedClock:
             await asyncio.get_running_loop().create_future()
 
         with pytest.raises(RuntimeError, match="stalled"):
-            asyncio.run(clock.drive(stuck(), max_idle_yields=50))
+            asyncio.run(clock.drive(stuck()))
+
+    def test_drive_names_a_real_time_timer_in_the_stall(self):
+        clock = SimulatedClock()
+
+        async def on_wall_time():
+            await asyncio.sleep(3600)
+
+        with pytest.raises(RuntimeError, match="real-time loop timer"):
+            asyncio.run(clock.drive(on_wall_time()))
+
+    @staticmethod
+    def _long_chain(clock, seen):
+        async def chain():
+            for _ in range(30):
+                await asyncio.sleep(0)
+            seen.append(clock.now())
+
+        return asyncio.ensure_future(chain())
+
+    def test_drive_holds_time_until_an_await_chain_settles(self):
+        clock = SimulatedClock()
+        seen = []
+
+        async def scenario():
+            chain = self._long_chain(clock, seen)
+            await clock.sleep(1.0)
+            await chain
+
+        drive(clock, scenario())
+        assert seen == [0.0]
+        assert clock.now() == 1.0
+
+    def test_advance_holds_time_until_an_await_chain_settles(self):
+        clock = SimulatedClock()
+        seen = []
+
+        async def scenario():
+            chain = self._long_chain(clock, seen)
+            woke = asyncio.ensure_future(clock.sleep(1.0))
+            await clock.advance(2.0)
+            await asyncio.gather(chain, woke)
+
+        asyncio.run(scenario())
+        assert seen == [0.0]
+        assert clock.now() == 2.0
+
+    def test_loop_without_a_ready_queue_is_rejected(self, monkeypatch):
+        import repro.service.clock as clock_module
+
+        class ForeignLoop:
+            pass
+
+        async def scenario():
+            monkeypatch.setattr(
+                clock_module.asyncio, "get_running_loop", ForeignLoop
+            )
+            clock = SimulatedClock()
+            with pytest.raises(TypeError, match="ForeignLoop"):
+                await clock.advance(1.0)
+            with pytest.raises(TypeError, match="ForeignLoop"):
+                await clock.drive(asyncio.sleep(0))
+
+        asyncio.run(scenario())
+
+    def test_demo_spends_at_most_two_loop_iterations_per_sleeper(
+        self, monkeypatch
+    ):
+        # A work count, not a timing gate: a fixed settling window of
+        # yields costs ~11 loop iterations per parked sleeper.
+        counts = {"iterations": 0, "parked": 0}
+
+        class CountingLoop(asyncio.SelectorEventLoop):
+            def _run_once(self):
+                counts["iterations"] += 1
+                super()._run_once()
+
+        class CountingPolicy(asyncio.DefaultEventLoopPolicy):
+            def new_event_loop(self):
+                return CountingLoop()
+
+        plain_sleep = SimulatedClock.sleep
+
+        async def counting_sleep(self, seconds):
+            if seconds > 0:
+                counts["parked"] += 1
+            await plain_sleep(self, seconds)
+
+        monkeypatch.setattr(SimulatedClock, "sleep", counting_sleep)
+        previous = asyncio.get_event_loop_policy()
+        asyncio.set_event_loop_policy(CountingPolicy())
+        try:
+            run_demo(DemoConfig(users=12, rounds=12))
+        finally:
+            asyncio.set_event_loop_policy(previous)
+        assert counts["parked"] > 1_000
+        assert counts["iterations"] / counts["parked"] <= 2.0
 
 
 class TestTokenBucket:
@@ -268,6 +366,25 @@ class TestBoundedQueues:
         # The tick still sees the burst that came and went.
         assert frontier.take_window_peak() == 3
         assert frontier.take_window_peak() == 0  # window reset
+
+    def test_running_depth_matches_queue_lengths(self):
+        rng = random.Random(20_160_627)
+        frontier = IngestFrontier(queue_bound=3)
+        users = range(5)
+        reference_peak = 0
+        for step in range(2_000):
+            user = rng.choice(users)
+            if rng.random() < 0.7:
+                frontier.offer(event(step, user_id=user))  # may be refused
+            else:
+                frontier.drain(user)
+            depth = sum(frontier.depth(u) for u in users)
+            assert frontier.total_depth() == depth
+            reference_peak = max(reference_peak, depth)
+            if rng.random() < 0.1:
+                assert frontier.take_window_peak() == reference_peak
+                reference_peak = depth
+        assert frontier.high_water() == 3  # the bound refused some offers
 
     def test_occupancy_is_depth_over_aggregate_capacity(self):
         frontier = IngestFrontier(queue_bound=4)
@@ -635,6 +752,31 @@ class TestServiceRuns:
         assert service.deferred_pending == 0
         assert service.conservation_error() == 0
         assert service.stats.delivered + service.accounting()["pending"] == 3
+
+
+# sha256 over canonical JSON of {accounting ledger, stats.latencies} for
+# run_demo(DemoConfig(users=12, rounds=12, seed=s)): pins the live
+# service's outputs (admission, shedding, delivery order, virtual times).
+GOLDEN_SERVICE_DIGESTS = {
+    23: "cd80d19a81da152352a48728aad713e40c5edb91dfd5c54456e9ba8e4b35f547",
+    7: "74a7aed74991f947894c2c3bbf9864d2ab7ef37923bc55a9f4fe1a5b767a0afa",
+}
+
+
+class TestServiceGolden:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_SERVICE_DIGESTS))
+    def test_demo_matches_pinned_digest(self, seed):
+        run = run_demo(DemoConfig(users=12, rounds=12, seed=seed))
+        blob = json.dumps(
+            {
+                "accounting": run.service.accounting(),
+                "latencies": run.service.stats.latencies,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == GOLDEN_SERVICE_DIGESTS[seed]
 
 
 @pytest.mark.chaos
